@@ -28,6 +28,10 @@
 # Both ASan and TSan lanes also carry the planner label: statistics are
 # folded on the commit path and read by concurrent planning threads.
 #
+# The sanitizers watch one run; scripts/repeat_lane.sh complements them
+# by running the mvcc|concurrency|query|overload labels 20 times over the
+# plain build, which is what flushes out rare interleavings.
+#
 # Usage: scripts/sanitize_lane.sh [address|thread|undefined] [build-dir]
 #        (defaults: address, build-asan / build-tsan / build-ubsan)
 set -eu

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <map>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -354,21 +353,9 @@ RecoveryReport Database::open(const std::string& dir,
                                      opts.sync_on_commit);
         for (auto& t : tables_) t->set_mutation_log(wal_.get());
     }
-    if (!salvage) {
-        load_stats_catalog();
-    } else {
-        try {
-            load_stats_catalog();
-        } catch (const Error&) {
-            // A salvaged xrel_stats can be self-consistent yet carry the
-            // wrong column types; statistics are advisory, so drop the
-            // catalog rather than fail the open.
-            sr.notes.push_back(
-                "stats catalog unreadable after salvage — dropped");
-            drop_table(kStatsTable);
-            load_stats_catalog();
-        }
-    }
+    // Statistics are derived state: fold every recovered row the replayed
+    // commits did not already fold, so the planner has numbers at once.
+    for (auto& t : tables_) t->refresh_stats();
     // Recovery is complete: publish the recovered state as the first
     // epoch, so snapshots opened from here on read it latch-free.
     publish_version();
@@ -659,141 +646,27 @@ std::string AnalyzeReport::to_string() const {
     std::ostringstream out;
     out << "analyzed " << tables << " table(s), " << columns
         << " column(s), " << rows << " row(s); statistics epoch " << epoch;
-    if (!persisted) out << " (in-memory only)";
     return out.str();
 }
-
-namespace {
-
-/// Statistics values round-trip through TEXT catalog cells; the declared
-/// type of the described column recovers the numeric ones.
-Value parse_stat_value(const Value& stored, ValueType want) {
-    if (stored.is_null()) return Value::null();
-    const std::string& s = stored.as_text();
-    try {
-        switch (want) {
-            case ValueType::kInteger:
-                return Value(static_cast<std::int64_t>(std::stoll(s)));
-            case ValueType::kReal:
-                return Value(std::stod(s));
-            default:
-                return Value(s);
-        }
-    } catch (const std::exception&) {
-        return Value::null();  // unparseable bound: treat as unknown
-    }
-}
-
-}  // namespace
 
 AnalyzeReport Database::analyze() {
     if (unit_depth_ != 0)
         throw SchemaError("cannot analyze while a load unit is open");
     AnalyzeReport report;
-    {
-        // Rebuilds mutate per-table statistics; hold the writer mutex
-        // like depth-0 DDL.  Planner threads reading through pinned
-        // epochs see those epochs' statistics copies, untouched.
-        std::lock_guard<std::mutex> guard(writer_mu_);
-        for (auto& t : tables_) {
-            if (t->name() == kStatsTable) continue;
-            t->rebuild_stats();
-            ++report.tables;
-            report.columns += t->stats().columns.size();
-            report.rows += t->stats().rows;
-        }
+    // Rebuilds mutate per-table statistics; hold the writer mutex like
+    // depth-0 DDL.  Planner threads reading through pinned epochs see
+    // those epochs' statistics copies, untouched.  One publication, same
+    // watermark: contents do not change, only the statistics epoch.
+    std::lock_guard<std::mutex> guard(writer_mu_);
+    for (auto& t : tables_) {
+        t->rebuild_stats();
+        ++report.tables;
+        report.columns += t->stats().columns.size();
+        report.rows += t->stats().rows;
     }
     report.epoch = stats_epoch_.fetch_add(1, std::memory_order_acq_rel) + 1;
-
-    // Persist to the catalog: drop + re-create + fill under one committed
-    // unit.  Each step takes the writer mutex itself and logs to the WAL,
-    // so a recovered database replays its way back to the same catalog
-    // rows; the commit publishes the rebuilt statistics as a new epoch.
-    if (table(kStatsTable) != nullptr) drop_table(kStatsTable);
-    TableDef def;
-    def.name = std::string(kStatsTable);
-    def.columns = {{"tbl", ValueType::kText, true, false},
-                   {"col", ValueType::kText, true, false},
-                   {"row_count", ValueType::kInteger, true, false},
-                   {"ndv", ValueType::kInteger, true, false},
-                   {"nulls", ValueType::kInteger, true, false},
-                   {"min_v", ValueType::kText, false, false},
-                   {"max_v", ValueType::kText, false, false},
-                   {"epoch", ValueType::kInteger, true, false}};
-    Table& cat = create_table(std::move(def));
-    begin_unit();
-    try {
-        for (auto& t : tables_) {
-            if (t->name() == kStatsTable) continue;
-            const TableStats& s = t->stats();
-            for (std::size_t c = 0; c < s.columns.size(); ++c) {
-                const ColumnStats& cs = s.columns[c];
-                Row row;
-                row.reserve(8);
-                row.push_back(Value(t->name()));
-                row.push_back(Value(t->def().columns[c].name));
-                row.push_back(Value(static_cast<std::int64_t>(s.rows)));
-                row.push_back(Value(static_cast<std::int64_t>(cs.ndv())));
-                row.push_back(Value(static_cast<std::int64_t>(cs.nulls)));
-                row.push_back(cs.min.is_null() ? Value::null()
-                                               : Value(cs.min.to_string()));
-                row.push_back(cs.max.is_null() ? Value::null()
-                                               : Value(cs.max.to_string()));
-                row.push_back(
-                    Value(static_cast<std::int64_t>(report.epoch)));
-                cat.insert(std::move(row));
-            }
-        }
-    } catch (...) {
-        rollback_unit();
-        throw;
-    }
-    commit_unit();
-    report.persisted = durable();
+    publish_version();
     return report;
-}
-
-void Database::load_stats_catalog() {
-    const Table* cat = table(kStatsTable);
-    std::uint64_t max_epoch = 0;
-    if (cat != nullptr && cat->column_count() >= 8) {
-        // Stage per-table statistics from the catalog rows.
-        std::map<std::string, TableStats> staged;
-        for (RowId id = 0; id < cat->row_count(); ++id) {
-            const Row& row = cat->row(id);
-            Table* target = table(row[0].as_text());
-            if (target == nullptr) continue;  // dropped since the analyze
-            int c = target->def().column_index(row[1].as_text());
-            if (c < 0) continue;
-            TableStats& ts = staged[target->name()];
-            if (ts.columns.size() != target->column_count())
-                ts.columns.resize(target->column_count());
-            ts.rows = std::max<std::uint64_t>(
-                ts.rows, static_cast<std::uint64_t>(row[2].as_integer()));
-            ColumnStats& cs = ts.columns[static_cast<std::size_t>(c)];
-            cs.ndv_hint = static_cast<std::uint64_t>(row[3].as_integer());
-            cs.nulls = static_cast<std::uint64_t>(row[4].as_integer());
-            ValueType want = target->def().columns[c].type;
-            cs.min = parse_stat_value(row[5], want);
-            cs.max = parse_stat_value(row[6], want);
-            max_epoch = std::max(
-                max_epoch, static_cast<std::uint64_t>(row[7].as_integer()));
-        }
-        for (auto& [name, ts] : staged) {
-            Table* target = table(name);
-            // WAL replay may have re-folded past the analyze point (its
-            // commits run the incremental fold); keep whichever covers
-            // more rows.
-            if (target->stats().rows < ts.rows)
-                target->load_stats(std::move(ts));
-        }
-    }
-    // Fold whatever remains uncovered (snapshot-restored rows that no
-    // catalog entry or replayed commit described), so the planner has
-    // numbers immediately after recovery.
-    for (auto& t : tables_) t->refresh_stats();
-    if (max_epoch > stats_epoch_.load(std::memory_order_relaxed))
-        stats_epoch_.store(max_epoch, std::memory_order_release);
 }
 
 std::size_t Database::total_rows() const {

@@ -105,7 +105,6 @@ struct AnalyzeReport {
     std::size_t columns = 0;       ///< column statistics rebuilt
     std::uint64_t rows = 0;        ///< rows scanned
     std::uint64_t epoch = 0;       ///< statistics epoch after the rebuild
-    bool persisted = false;        ///< written to the xrel_stats catalog
     [[nodiscard]] std::string to_string() const;
 };
 
@@ -128,8 +127,8 @@ struct RecoveryReport {
 /// One immutable published epoch of the whole database (DESIGN.md §15).
 ///
 /// Built by the writer at each publication point (outermost commit,
-/// depth-0 DDL, end of recovery) from frozen table clones that share
-/// row chunks and index containers with the live tables.  Once
+/// depth-0 DDL, analyze(), end of recovery) from frozen table clones
+/// that share row chunks and index nodes with the live tables.  Once
 /// published a version never changes; it is retired automatically when
 /// the last ReadSnapshot pinning it is destroyed (shared_ptr refcount
 /// is the version GC — no epoch list to sweep).
@@ -235,7 +234,10 @@ struct MvccStats {
     std::uint64_t versions_retired = 0;    ///< published and since freed
     std::uint64_t tables_republished = 0;  ///< frozen table clones cut
     std::uint64_t chunks_cowed = 0;        ///< row chunks copied on write
-    std::uint64_t indexes_cowed = 0;       ///< index containers copied on write
+    /// Index B+tree nodes copied on write (primary-key and secondary
+    /// indexes): an insert after a publish copies one root-to-leaf path
+    /// per index, so this grows with rows touched, not table size.
+    std::uint64_t indexes_cowed = 0;
     [[nodiscard]] std::string to_string() const;
 };
 
@@ -320,10 +322,10 @@ public:
     // -- statistics (DESIGN.md §13) -------------------------------------------
     /// Rebuild every table's statistics from scratch (fresh sketches, so
     /// NDV estimates reflect current contents, not incremental history),
-    /// bump the statistics epoch, and persist the results to the
-    /// `xrel_stats` catalog table — dropped and re-created under its own
-    /// committed unit, so the snapshot/WAL machinery carries statistics
-    /// across restarts like any other rows.  Requires no open load unit.
+    /// bump the statistics epoch, and publish once: the new epoch has the
+    /// same watermark and contents, only fresher statistics.  Statistics
+    /// are derived state and are not persisted — open() refolds them from
+    /// the recovered rows.  Requires no open load unit.
     AnalyzeReport analyze();
 
     /// Monotonic epoch for plan invalidation: bumped by analyze() and by
@@ -333,9 +335,6 @@ public:
     [[nodiscard]] std::uint64_t stats_epoch() const {
         return stats_epoch_.load(std::memory_order_acquire);
     }
-
-    /// Name of the statistics catalog table analyze() maintains.
-    static constexpr std::string_view kStatsTable = "xrel_stats";
 
     /// Bulk-load bracketing: begin_bulk() switches every table to deferred
     /// secondary-index maintenance, end_bulk() rebuilds all indexes in one
@@ -382,7 +381,7 @@ public:
     }
 
     /// MVCC observability: epochs published/live/retired, frozen table
-    /// clones cut, chunks and index containers copied on write.
+    /// clones cut, chunks and index nodes copied on write.
     [[nodiscard]] MvccStats mvcc_stats() const;
 
     /// Records appended to the active WAL segment (the durable LSN); 0
@@ -418,15 +417,10 @@ private:
 
     /// Freeze the live tables into a new DatabaseVersion and swap it in
     /// as the current epoch.  Writer-side only, at publication points:
-    /// outermost commit, depth-0 DDL, end of open().  O(#tables) plus
-    /// O(#chunks) for tables that changed; unchanged tables reuse their
-    /// cached frozen clone.
+    /// outermost commit, depth-0 DDL, analyze(), end of open().
+    /// O(#tables) plus O(#chunks + #indexes) for tables that changed;
+    /// unchanged tables reuse their cached frozen clone.
     void publish_version();
-
-    /// Recovery tail: install persisted statistics from xrel_stats where
-    /// they cover more rows than WAL replay already re-folded, then fold
-    /// any uncovered remainder so the planner has numbers immediately.
-    void load_stats_catalog();
 
     // -- durability state (empty / null while in-memory only) ----------------
     std::string dir_;

@@ -57,7 +57,6 @@ struct DocEntry {
 
 void check_document_invariants(const ReadView& db, IntegrityReport& report);
 void check_quarantine(const ReadView& db, IntegrityReport& report);
-void check_stats_catalog(const ReadView& db, IntegrityReport& report);
 
 void check_foreign_keys_into(const ReadView& db, IntegrityReport& report) {
     for (const ForeignKeyDef& fk : db.foreign_keys()) {
@@ -355,39 +354,6 @@ void check_quarantine(const ReadView& db, IntegrityReport& report) {
     }
 }
 
-void check_stats_catalog(const ReadView& db, IntegrityReport& report) {
-    const Table* cat = db.table(Database::kStatsTable);
-    if (cat == nullptr) return;
-    int c_tbl = typed_column(cat->def(), "tbl", ValueType::kText);
-    int c_col = typed_column(cat->def(), "col", ValueType::kText);
-    if (c_tbl < 0 || c_col < 0) {
-        report.add({Severity::kWarning, "stats-catalog",
-                    std::string(Database::kStatsTable), -1,
-                    "catalog does not have the expected tbl / col columns"});
-        return;
-    }
-    // Stale rows are legitimate (drop_table leaves them until the next
-    // analyze), so coverage gaps only warn.
-    std::set<std::string> missing;
-    for (RowId id = 0; id < cat->row_count(); ++id) {
-        const Row& row = cat->row(id);
-        const Value& tv = row[static_cast<std::size_t>(c_tbl)];
-        const Value& cv = row[static_cast<std::size_t>(c_col)];
-        if (tv.type() != ValueType::kText || cv.type() != ValueType::kText)
-            continue;  // cell-type damage is reported by verify_into
-        const Table* target = db.table(tv.as_text());
-        std::string what;
-        if (target == nullptr)
-            what = "table '" + tv.as_text() + "'";
-        else if (target->def().column_index(cv.as_text()) < 0)
-            what = "column '" + tv.as_text() + "." + cv.as_text() + "'";
-        if (!what.empty() && missing.insert(what).second)
-            report.add({Severity::kWarning, "stats-catalog",
-                        std::string(Database::kStatsTable), -1,
-                        "statistics reference missing " + what});
-    }
-}
-
 }  // namespace
 
 std::string IntegrityIssue::to_string() const {
@@ -447,7 +413,6 @@ IntegrityReport verify_database(const ReadView& db) {
     check_foreign_keys_into(db, report);
     check_document_invariants(db, report);
     check_quarantine(db, report);
-    check_stats_catalog(db, report);
     return report;
 }
 

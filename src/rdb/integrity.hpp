@@ -3,13 +3,12 @@
 // verify_database() walks a Database and validates every invariant the
 // storage and shredding layers promise: per-table (row arity and types,
 // NOT NULL, pk uniqueness and pk-index agreement, secondary index ↔ row
-// agreement, ordered-index sortedness, pk-counter monotonicity) and
+// agreement, index sortedness, pk-counter monotonicity) and
 // cross-table XML invariants derived from the shredded-schema
 // conventions (every `doc` cell names a registered document in
 // `xrel_docs`, per-document Dietz label ranges are disjoint and fully
 // covered, `pre`/`post` intervals nest properly, document roots exist,
-// quarantine rows are well-formed, the stats catalog references live
-// tables).  The checker only reads; it never repairs.
+// quarantine rows are well-formed).  The checker only reads; it never repairs.
 //
 // Findings come back as a structured IntegrityReport instead of an
 // exception: corruption rarely travels alone, and a report that lists
@@ -44,8 +43,8 @@ struct IntegrityIssue {
 };
 
 /// Everything verify() looked at and everything it found.  `clean()`
-/// means no *errors*; warnings (e.g. stale stats-catalog rows, which
-/// drop_table legitimately leaves behind) do not fail verification.
+/// means no *errors*; warnings (e.g. secondary-index checks skipped
+/// while bulk mode defers the indexes) do not fail verification.
 struct IntegrityReport {
     static constexpr std::size_t kMaxIssues = 256;
 

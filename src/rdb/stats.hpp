@@ -3,10 +3,9 @@
 // Each Table carries a TableStats: the number of rows the statistics
 // cover, and per column the min/max value, NULL count and a distinct-
 // value estimate from a KMV (k-minimum-values) sketch.  Statistics are
-// folded incrementally — Database::commit_unit() scans only the rows
-// appended since the last fold — and rebuilt from scratch by
-// Database::analyze(), which also persists them to the `xrel_stats`
-// catalog table so they survive snapshot + WAL recovery.
+// derived state and never persisted: Database::commit_unit() folds only
+// the rows appended since the last fold, Database::open() folds whatever
+// recovery restored, and Database::analyze() rebuilds them from scratch.
 //
 // Statistics are estimates by design: in-place cell updates do not
 // re-derive min/max or NDV (the loader's IDREF patching would make that
@@ -17,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <set>
 #include <vector>
 
 #include "rdb/value.hpp"
@@ -27,8 +25,10 @@ namespace xr::rdb {
 /// KMV distinct-count sketch: keep the k smallest of the 64-bit hashes
 /// seen; with fewer than k entries the count is exact, beyond that the
 /// k-th minimum estimates the hash-space density (ndv ≈ (k-1)/kth_min).
-/// O(log k) per add, O(k) memory, mergeable by re-adding — small enough
-/// to fold on every commit.
+/// The minima are one flat sorted array (O(k) memory, one allocation),
+/// so copying a sketch — every published table version carries its
+/// statistics — is a single memcpy-sized copy.  O(log k) to reject a
+/// hash, O(k) to admit one; mergeable by re-adding.
 class NdvSketch {
 public:
     static constexpr std::size_t kDefaultK = 256;
@@ -42,23 +42,16 @@ public:
 
 private:
     std::size_t k_;
-    std::set<std::uint64_t> mins_;  ///< the k smallest hashes, distinct
+    std::vector<std::uint64_t> mins_;  ///< the k smallest hashes, distinct, ascending
 };
 
 struct ColumnStats {
     Value min;  ///< over non-NULL values; NULL while none seen
     Value max;
     std::uint64_t nulls = 0;
-    /// Persisted NDV estimate restored by recovery — the sketch itself is
-    /// not serialized, so after a restart the hint carries the analyzed
-    /// estimate until the next full rebuild repopulates the sketch.
-    std::uint64_t ndv_hint = 0;
     NdvSketch sketch;
 
-    [[nodiscard]] std::uint64_t ndv() const {
-        std::uint64_t est = sketch.estimate();
-        return est > ndv_hint ? est : ndv_hint;
-    }
+    [[nodiscard]] std::uint64_t ndv() const { return sketch.estimate(); }
 
     void fold(const Value& v);
 };

@@ -23,27 +23,28 @@ const ColumnDef* TableDef::column(std::string_view name) const {
 
 void RowStore::own(Slot& s, std::size_t keep) {
     auto copy = std::make_shared<Chunk>();
-    copy->rows.reserve(kChunkRows);
-    copy->rows.insert(copy->rows.end(), s.chunk->rows.begin(),
-                      s.chunk->rows.begin() + static_cast<std::ptrdiff_t>(keep));
+    std::copy_n(s.chunk->rows.begin(), keep, copy->rows.begin());
     s.chunk = std::move(copy);
-    s.owned = true;
+    s.visible = 0;
     ++chunks_cowed_;
 }
 
 void RowStore::truncate(std::size_t n) {
     if (n >= size_) return;
     if (n == 0) {
-        slots_.clear();
-        size_ = 0;
+        clear();
         return;
     }
-    slots_.resize((n + kChunkRows - 1) >> kChunkShift);
-    std::size_t tail = ((n - 1) & kChunkMask) + 1;
+    std::size_t last = (n - 1) >> kChunkShift;
+    std::size_t keep = n - (last << kChunkShift);
+    std::size_t filled = fill(last);
+    slots_.resize(last + 1);
     Slot& s = slots_.back();
-    if (s.chunk->rows.size() != tail) {
-        if (!s.owned) own(s, tail);
-        else s.chunk->rows.resize(tail);
+    if (keep < s.visible) {
+        own(s, keep);
+    } else {
+        // The cut rows are writer-private: release them in place.
+        for (std::size_t r = keep; r < filled; ++r) s.chunk->rows[r] = Row();
     }
     size_ = n;
 }
@@ -51,9 +52,9 @@ void RowStore::truncate(std::size_t n) {
 RowStore RowStore::publish() {
     RowStore out;
     out.slots_.reserve(slots_.size());
-    for (Slot& s : slots_) {
-        s.owned = false;
-        out.slots_.push_back(Slot{s.chunk, false});
+    for (std::size_t c = 0; c < slots_.size(); ++c) {
+        slots_[c].visible = static_cast<std::uint32_t>(fill(c));
+        out.slots_.push_back(slots_[c]);
     }
     out.size_ = size_;
     return out;
@@ -61,14 +62,15 @@ RowStore RowStore::publish() {
 
 // -- Table -------------------------------------------------------------------
 
-Table::Table(TableDef def) : def_(std::move(def)) {
-    for (std::size_t i = 0; i < def_.columns.size(); ++i) {
-        if (def_.columns[i].primary_key) {
+Table::Table(TableDef def)
+    : def_(std::make_shared<const TableDef>(std::move(def))) {
+    for (std::size_t i = 0; i < def_->columns.size(); ++i) {
+        if (def_->columns[i].primary_key) {
             if (pk_column_ >= 0)
-                throw SchemaError("table '" + def_.name +
+                throw SchemaError("table '" + def_->name +
                                   "' declares multiple primary keys");
-            if (def_.columns[i].type != ValueType::kInteger)
-                throw SchemaError("primary key of '" + def_.name +
+            if (def_->columns[i].type != ValueType::kInteger)
+                throw SchemaError("primary key of '" + def_->name +
                                   "' must be INTEGER");
             pk_column_ = static_cast<int>(i);
         }
@@ -83,15 +85,11 @@ Table::Table(FrozenTag, Table& live) : def_(live.def_) {
     frozen_ = true;
     dirty_ = false;
     store_ = live.store_.publish();
-    live.pk_owned_ = false;
-    pk_index_ = live.pk_index_;
-    pk_owned_ = false;
+    pk_index_ = live.pk_index_.publish();
     indexes_.reserve(live.indexes_.size());
-    for (SecondaryIndex& idx : live.indexes_) {
-        idx.owned = false;
+    for (SecondaryIndex& idx : live.indexes_)
         indexes_.push_back(
-            SecondaryIndex{idx.column, idx.kind, idx.hash, idx.ordered, false});
-    }
+            SecondaryIndex{idx.column, idx.kind, idx.tree.publish()});
     stats_ = live.stats_;
 }
 
@@ -102,44 +100,56 @@ std::shared_ptr<const Table> Table::publish() {
     return last_published_;
 }
 
-Table::PkIndex& Table::own_pk() {
-    if (!pk_owned_) {
-        pk_index_ = std::make_shared<PkIndex>(*pk_index_);
-        pk_owned_ = true;
-        ++index_cows_;
-    }
-    return *pk_index_;
+std::uint64_t Table::indexes_cowed() const {
+    std::uint64_t n = pk_index_.nodes_cowed();
+    for (const SecondaryIndex& idx : indexes_) n += idx.tree.nodes_cowed();
+    return n;
 }
 
-Table::HashIndexMap& Table::own_hash(SecondaryIndex& idx, bool preserve) {
-    if (!idx.owned) {
-        idx.hash = preserve ? std::make_shared<HashIndexMap>(*idx.hash)
-                            : std::make_shared<HashIndexMap>();
-        idx.ordered = preserve ? std::make_shared<OrderedIndexMap>(*idx.ordered)
-                               : std::make_shared<OrderedIndexMap>();
-        idx.owned = true;
-        ++index_cows_;
-    }
-    return *idx.hash;
+std::size_t Table::index_depth() const {
+    std::size_t depth = pk_index_.depth();
+    for (const SecondaryIndex& idx : indexes_)
+        depth = std::max(depth, idx.tree.depth());
+    return depth;
 }
 
-Table::OrderedIndexMap& Table::own_ordered(SecondaryIndex& idx, bool preserve) {
-    own_hash(idx, preserve);
-    return *idx.ordered;
+std::vector<Table::IndexEntry> Table::sorted_run(int column) const {
+    std::vector<IndexEntry> run;
+    run.reserve(store_.size());
+    for (RowId id = 0; id < store_.size(); ++id)
+        run.push_back({store_[id][column], id});
+    // Rows are visited in id order, so sorting stably by key alone gives
+    // (key, row) order; monotone columns (Dietz pre, parent pks) are
+    // already sorted.
+    auto by_key = [](const IndexEntry& a, const IndexEntry& b) {
+        return a.key.index_order(b.key) < 0;
+    };
+    if (!std::is_sorted(run.begin(), run.end(), by_key))
+        std::stable_sort(run.begin(), run.end(), by_key);
+    return run;
+}
+
+Table::IndexTree::Cursor Table::seek_key(const SecondaryIndex& idx,
+                                         const Value& key, bool strict) {
+    if (strict)
+        return idx.tree.seek(
+            [&key](const IndexEntry& e) { return !key.index_less(e.key); });
+    return idx.tree.seek(
+        [&key](const IndexEntry& e) { return e.key.index_less(key); });
 }
 
 void Table::validate(const Row& row) const {
-    if (row.size() != def_.columns.size())
+    if (row.size() != def_->columns.size())
         throw SchemaError("row arity " + std::to_string(row.size()) +
-                          " does not match table '" + def_.name + "' (" +
-                          std::to_string(def_.columns.size()) + " columns)");
+                          " does not match table '" + def_->name + "' (" +
+                          std::to_string(def_->columns.size()) + " columns)");
     for (std::size_t i = 0; i < row.size(); ++i) {
-        const ColumnDef& col = def_.columns[i];
+        const ColumnDef& col = def_->columns[i];
         const Value& v = row[i];
         if (v.is_null()) {
             if (col.not_null && static_cast<int>(i) != pk_column_)
                 throw SchemaError("NULL in NOT NULL column '" + col.name +
-                                  "' of '" + def_.name + "'");
+                                  "' of '" + def_->name + "'");
             continue;
         }
         bool ok = true;
@@ -160,7 +170,7 @@ void Table::validate(const Row& row) const {
         }
         if (!ok)
             throw SchemaError("type mismatch in column '" + col.name + "' of '" +
-                              def_.name + "': expected " +
+                              def_->name + "': expected " +
                               std::string(to_string(col.type)) + ", got " +
                               std::string(to_string(v.type())));
     }
@@ -174,38 +184,35 @@ std::size_t Table::insert_batch(std::vector<Row> rows, bool validate_rows) {
     // rows from a trusted loading plan skip the per-row cell checks.
     validate(rows.front());
     reserve_rows(rows.size());
-    if (pk_column_ >= 0) own_pk().reserve(pk_index_->size() + rows.size());
     for (auto& row : rows) do_insert(std::move(row), validate_rows);
     return rows.size();
 }
 
 std::int64_t Table::do_insert(Row&& row, bool validate_row) {
-    if (pk_column_ >= 0 && row.size() == def_.columns.size() &&
+    if (pk_column_ >= 0 && row.size() == def_->columns.size() &&
         row[pk_column_].is_null()) {
         row[pk_column_] = Value(next_pk_.load(std::memory_order_relaxed));
     }
     if (validate_row) {
         validate(row);
-    } else if (row.size() != def_.columns.size()) {
+    } else if (row.size() != def_->columns.size()) {
         throw SchemaError("row arity " + std::to_string(row.size()) +
-                          " does not match table '" + def_.name + "' (" +
-                          std::to_string(def_.columns.size()) + " columns)");
+                          " does not match table '" + def_->name + "' (" +
+                          std::to_string(def_->columns.size()) + " columns)");
     }
 
     std::int64_t pk = static_cast<std::int64_t>(store_.size());
     if (pk_column_ >= 0) pk = row[pk_column_].as_integer();
 
     auto id = static_cast<RowId>(store_.size());
-    dirty_ = true;
-    store_.push_back(std::move(row));
     if (pk_column_ >= 0) {
-        if (!own_pk().emplace(pk, id).second) {
-            store_.pop_back();
+        if (!pk_index_.insert({pk, id}))
             throw SchemaError("duplicate primary key " + std::to_string(pk) +
-                              " in '" + def_.name + "'");
-        }
+                              " in '" + def_->name + "'");
         bump_next_pk(pk);
     }
+    dirty_ = true;
+    store_.push_back(std::move(row));
     if (!bulk_) index_row(id);
     if (log_ != nullptr) log_->log_insert(*this, store_[id]);
     return pk;
@@ -232,7 +239,7 @@ void Table::begin_unit() {
 
 void Table::commit_unit() {
     if (units_.empty())
-        throw SchemaError("commit_unit without begin_unit on '" + def_.name +
+        throw SchemaError("commit_unit without begin_unit on '" + def_->name +
                           "'");
     units_.pop_back();
     // The undo log folds into the parent frame (its undo_size mark is
@@ -242,40 +249,50 @@ void Table::commit_unit() {
 
 void Table::rollback_unit() {
     if (units_.empty())
-        throw SchemaError("rollback_unit without begin_unit on '" + def_.name +
+        throw SchemaError("rollback_unit without begin_unit on '" + def_->name +
                           "'");
     UnitFrame frame = units_.back();
     units_.pop_back();
     bool changed =
         store_.size() > frame.rows || undo_.size() > frame.undo_size;
+    // In bulk mode (or after an interrupted merge or rebuild) the
+    // secondary indexes are deferred: rebuild them below.  Otherwise they
+    // are exact, and undoing entry by entry keeps rollback O(delta).
+    bool was_bulk = bulk_;
+    bulk_ = false;
 
-    // Undo cell updates newest-first with raw writes; index consistency is
-    // restored by the rebuild below.
+    // Appended rows leave every index, keyed by their current cells.
+    for (std::size_t id = store_.size(); id-- > frame.rows;) {
+        const Row& row = store_[id];
+        auto rid = static_cast<RowId>(id);
+        if (pk_column_ >= 0)
+            pk_index_.erase({row[pk_column_].as_integer(), rid});
+        if (!was_bulk)
+            for (SecondaryIndex& idx : indexes_)
+                idx.tree.erase({row[idx.column], rid});
+    }
+
+    // Undo cell updates to surviving rows newest-first, moving their
+    // index entries back to the old values.
     for (std::size_t i = undo_.size(); i-- > frame.undo_size;) {
         UndoCell& cell = undo_[i];
+        if (cell.row >= frame.rows) continue;  // truncated below
+        if (!was_bulk)
+            for (SecondaryIndex& idx : indexes_) {
+                if (idx.column != cell.column) continue;
+                idx.tree.erase({store_[cell.row][cell.column], cell.row});
+                idx.tree.insert({cell.old_value, cell.row});
+            }
         store_.mut(cell.row)[cell.column] = std::move(cell.old_value);
     }
     undo_.resize(frame.undo_size);
-
-    // Truncate appended rows, keeping the primary-key index exact.
-    if (store_.size() > frame.rows) {
-        if (pk_column_ >= 0) {
-            PkIndex& pk = own_pk();
-            for (std::size_t id = store_.size(); id-- > frame.rows;)
-                pk.erase(store_[id][pk_column_].as_integer());
-        }
-        store_.truncate(frame.rows);
-    }
+    store_.truncate(frame.rows);
 
     // Reclaim keys reserved since the watermark.  Safe because the unit
     // contract joins all reserving workers before rollback.
     next_pk_.store(frame.next_pk, std::memory_order_relaxed);
 
-    // Leave the table out of bulk mode with consistent secondary indexes,
-    // whatever state an interrupted merge or rebuild left them in.
-    bool was_bulk = bulk_;
-    bulk_ = false;
-    if (changed || was_bulk) rebuild_indexes();
+    if (was_bulk) rebuild_indexes();
     if (changed || was_bulk) dirty_ = true;
 
     // Rows the statistics already covered may be gone (or their cells
@@ -284,28 +301,18 @@ void Table::rollback_unit() {
 }
 
 void Table::rebuild_indexes() {
-    for (auto& idx : indexes_) {
-        // About to repopulate from scratch: a shared container is simply
-        // replaced with a fresh empty one instead of deep-copied first.
-        HashIndexMap& hash = own_hash(idx, /*preserve=*/false);
-        OrderedIndexMap& ordered = *idx.ordered;
-        hash.clear();
-        ordered.clear();
-        if (idx.kind == IndexKind::kHash) hash.reserve(store_.size());
-        for (RowId id = 0; id < store_.size(); ++id) {
-            const Value& v = store_[id][idx.column];
-            if (idx.kind == IndexKind::kHash) hash.emplace(v, id);
-            else ordered.emplace(v, id);
-        }
-    }
+    // Bulk build from one sorted run: a published version keeps the old
+    // nodes, the live table gets fresh ones — nothing is copied.
+    for (SecondaryIndex& idx : indexes_)
+        idx.tree.assign_sorted(sorted_run(idx.column));
     if (!indexes_.empty()) dirty_ = true;
 }
 
 const Value& Table::at(RowId id, std::string_view column) const {
-    int i = def_.column_index(column);
+    int i = def_->column_index(column);
     if (i < 0)
         throw SchemaError("no column '" + std::string(column) + "' in '" +
-                          def_.name + "'");
+                          def_->name + "'");
     return store_[id][i];
 }
 
@@ -320,43 +327,25 @@ std::optional<RowId> Table::find_pk_rowid(std::int64_t pk) const {
             return static_cast<RowId>(pk);
         return std::nullopt;
     }
-    auto it = pk_index_->find(pk);
-    if (it == pk_index_->end()) return std::nullopt;
-    return it->second;
+    const PkEntry* e = pk_index_.find({pk, 0});
+    if (e == nullptr) return std::nullopt;
+    return e->row;
 }
 
 void Table::update(RowId id, std::string_view column, Value value) {
-    int i = def_.column_index(column);
+    int i = def_->column_index(column);
     if (i < 0)
         throw SchemaError("no column '" + std::string(column) + "' in '" +
-                          def_.name + "'");
+                          def_->name + "'");
     if (i == pk_column_)
         throw SchemaError("cannot update primary key column");
     if (!units_.empty()) undo_.push_back({id, i, store_[id][i]});
     dirty_ = true;
-    for (auto& idx : indexes_) {
-        if (idx.column != i) continue;
-        const Value& old = store_[id][i];
-        if (idx.kind == IndexKind::kHash) {
-            HashIndexMap& hash = own_hash(idx, /*preserve=*/true);
-            auto range = hash.equal_range(old);
-            for (auto it = range.first; it != range.second; ++it) {
-                if (it->second == id) {
-                    hash.erase(it);
-                    break;
-                }
-            }
-            hash.emplace(value, id);
-        } else {
-            OrderedIndexMap& ordered = own_ordered(idx, /*preserve=*/true);
-            auto range = ordered.equal_range(old);
-            for (auto it = range.first; it != range.second; ++it) {
-                if (it->second == id) {
-                    ordered.erase(it);
-                    break;
-                }
-            }
-            ordered.emplace(value, id);
+    if (!bulk_) {  // bulk mode defers indexes to end_bulk()'s rebuild
+        for (SecondaryIndex& idx : indexes_) {
+            if (idx.column != i) continue;
+            idx.tree.erase({store_[id][i], id});
+            idx.tree.insert({value, id});
         }
     }
     store_.mut(id)[i] = std::move(value);
@@ -365,12 +354,12 @@ void Table::update(RowId id, std::string_view column, Value value) {
 
 std::size_t Table::delete_where(std::string_view column, const Value& value) {
     if (!units_.empty())
-        throw SchemaError("cannot delete from '" + def_.name +
+        throw SchemaError("cannot delete from '" + def_->name +
                           "' while a load unit is open");
-    int i = def_.column_index(column);
+    int i = def_->column_index(column);
     if (i < 0)
         throw SchemaError("no column '" + std::string(column) + "' in '" +
-                          def_.name + "'");
+                          def_->name + "'");
     RowStore kept;
     kept.reserve(store_.size());
     std::size_t removed = 0;
@@ -383,17 +372,18 @@ std::size_t Table::delete_where(std::string_view column, const Value& value) {
     dirty_ = true;
 
     // Row ids shifted: rebuild the pk index and every secondary index.
-    if (!pk_owned_) {
-        pk_index_ = std::make_shared<PkIndex>();
-        pk_owned_ = true;
-        ++index_cows_;
-    } else {
-        pk_index_->clear();
-    }
+    std::vector<PkEntry> pks;
     if (pk_column_ >= 0) {
+        pks.reserve(store_.size());
         for (RowId id = 0; id < store_.size(); ++id)
-            pk_index_->emplace(store_[id][pk_column_].as_integer(), id);
+            pks.push_back({store_[id][pk_column_].as_integer(), id});
+        auto by_key = [](const PkEntry& a, const PkEntry& b) {
+            return a.key < b.key;
+        };
+        if (!std::is_sorted(pks.begin(), pks.end(), by_key))
+            std::sort(pks.begin(), pks.end(), by_key);
     }
+    pk_index_.assign_sorted(std::move(pks));
     rebuild_indexes();
     stats_.stale = true;  // compaction: folded rows may be gone
     if (log_ != nullptr) log_->log_delete_where(*this, i, value);
@@ -405,8 +395,8 @@ void Table::refresh_stats() {
         rebuild_stats();
         return;
     }
-    if (stats_.columns.size() != def_.columns.size())
-        stats_.columns.assign(def_.columns.size(), ColumnStats());
+    if (stats_.columns.size() != def_->columns.size())
+        stats_.columns.assign(def_->columns.size(), ColumnStats());
     if (stats_.rows < store_.size()) dirty_ = true;
     for (std::size_t r = stats_.rows; r < store_.size(); ++r)
         for (std::size_t c = 0; c < stats_.columns.size(); ++c)
@@ -418,19 +408,9 @@ void Table::rebuild_stats() {
     std::uint64_t epoch_rows = stats_.epoch_rows;
     stats_ = TableStats{};
     stats_.epoch_rows = epoch_rows;
-    stats_.columns.assign(def_.columns.size(), ColumnStats());
+    stats_.columns.assign(def_->columns.size(), ColumnStats());
     dirty_ = true;
     refresh_stats();
-}
-
-void Table::load_stats(TableStats stats) {
-    stats.rows = std::min<std::uint64_t>(stats.rows, store_.size());
-    stats.epoch_rows = std::max(stats.epoch_rows, stats_.epoch_rows);
-    if (stats.columns.size() != def_.columns.size())
-        stats.columns.resize(def_.columns.size());
-    stats.stale = false;
-    stats_ = std::move(stats);
-    dirty_ = true;
 }
 
 bool Table::note_material_growth() {
@@ -442,27 +422,22 @@ bool Table::note_material_growth() {
 }
 
 void Table::create_index(std::string_view column, IndexKind kind) {
-    int i = def_.column_index(column);
+    int i = def_->column_index(column);
     if (i < 0)
         throw SchemaError("cannot index unknown column '" + std::string(column) +
-                          "' in '" + def_.name + "'");
+                          "' in '" + def_->name + "'");
     if (has_index(column)) return;
     SecondaryIndex idx;
     idx.column = i;
     idx.kind = kind;
-    idx.hash = std::make_shared<HashIndexMap>();
-    idx.ordered = std::make_shared<OrderedIndexMap>();
-    for (RowId id = 0; id < store_.size(); ++id) {
-        if (kind == IndexKind::kHash) idx.hash->emplace(store_[id][i], id);
-        else idx.ordered->emplace(store_[id][i], id);
-    }
+    idx.tree.assign_sorted(sorted_run(i));
     indexes_.push_back(std::move(idx));
     dirty_ = true;
     if (log_ != nullptr) log_->log_create_index(*this, column, kind);
 }
 
 bool Table::has_index(std::string_view column) const {
-    int i = def_.column_index(column);
+    int i = def_->column_index(column);
     for (const auto& idx : indexes_)
         if (idx.column == i) return true;
     return false;
@@ -470,28 +445,22 @@ bool Table::has_index(std::string_view column) const {
 
 std::vector<RowId> Table::index_lookup(std::string_view column,
                                        const Value& value) const {
-    int i = def_.column_index(column);
+    int i = def_->column_index(column);
     for (const auto& idx : indexes_) {
         if (idx.column != i) continue;
+        // Entries are ordered by (key, row): equal keys arrive in row order.
         std::vector<RowId> out;
-        if (idx.kind == IndexKind::kHash) {
-            auto range = idx.hash->equal_range(value);
-            for (auto it = range.first; it != range.second; ++it)
-                out.push_back(it->second);
-        } else {
-            auto range = idx.ordered->equal_range(value);
-            for (auto it = range.first; it != range.second; ++it)
-                out.push_back(it->second);
-        }
-        std::sort(out.begin(), out.end());
+        for (auto c = seek_key(idx, value, false); c.valid() && c->key == value;
+             c.next())
+            out.push_back(c->row);
         return out;
     }
-    throw SchemaError("no index on '" + def_.name + "." + std::string(column) +
+    throw SchemaError("no index on '" + def_->name + "." + std::string(column) +
                       "'");
 }
 
 bool Table::has_ordered_index(std::string_view column) const {
-    int i = def_.column_index(column);
+    int i = def_->column_index(column);
     for (const auto& idx : indexes_)
         if (idx.column == i && idx.kind == IndexKind::kOrdered) return true;
     return false;
@@ -501,39 +470,36 @@ std::vector<RowId> Table::index_range_lookup(std::string_view column,
                                              const Value* lo, bool lo_strict,
                                              const Value* hi,
                                              bool hi_strict) const {
-    int i = def_.column_index(column);
+    int i = def_->column_index(column);
     for (const auto& idx : indexes_) {
         if (idx.column != i || idx.kind != IndexKind::kOrdered) continue;
-        const OrderedIndexMap& ordered = *idx.ordered;
-        // NULL keys sort first in the ordered index but compare unknown in
-        // SQL, so an unbounded lower end still starts past them.
-        auto it = lo == nullptr
-                      ? ordered.upper_bound(Value::null())
-                      : (lo_strict ? ordered.upper_bound(*lo)
-                                   : ordered.lower_bound(*lo));
+        // NULL keys sort first in the index but compare unknown in SQL,
+        // so an unbounded lower end still starts past them.
+        auto c = lo == nullptr ? seek_key(idx, Value::null(), true)
+                               : seek_key(idx, *lo, lo_strict);
         std::vector<RowId> out;
-        for (; it != ordered.end(); ++it) {
-            if (it->first.is_null()) continue;
+        for (; c.valid(); c.next()) {
+            if (c->key.is_null()) continue;
             if (hi != nullptr) {
-                auto ord = it->first.index_order(*hi);
+                auto ord = c->key.index_order(*hi);
                 if (hi_strict ? ord >= 0 : ord > 0) break;
             }
-            out.push_back(it->second);
+            out.push_back(c->row);
         }
         std::sort(out.begin(), out.end());
         return out;
     }
-    throw SchemaError("no ordered index on '" + def_.name + "." +
+    throw SchemaError("no ordered index on '" + def_->name + "." +
                       std::string(column) + "'");
 }
 
 std::vector<RowId> Table::lookup(std::string_view column,
                                  const Value& value) const {
     if (has_index(column)) return index_lookup(column, value);
-    int i = def_.column_index(column);
+    int i = def_->column_index(column);
     if (i < 0)
         throw SchemaError("no column '" + std::string(column) + "' in '" +
-                          def_.name + "'");
+                          def_->name + "'");
     std::vector<RowId> out;
     for (RowId id = 0; id < store_.size(); ++id) {
         if (store_[id][i] == value) out.push_back(id);
@@ -542,19 +508,13 @@ std::vector<RowId> Table::lookup(std::string_view column,
 }
 
 void Table::index_row(RowId id) {
-    for (auto& idx : indexes_) {
-        const Value& v = store_[id][idx.column];
-        if (idx.kind == IndexKind::kHash) {
-            own_hash(idx, /*preserve=*/true).emplace(v, id);
-        } else {
-            own_ordered(idx, /*preserve=*/true).emplace(v, id);
-        }
-    }
+    for (SecondaryIndex& idx : indexes_)
+        idx.tree.insert({store_[id][idx.column], id});
 }
 
 void Table::verify_into(IntegrityReport& report) const {
     ++report.tables_checked;
-    const int doc_col = def_.column_index("doc");
+    const int doc_col = def_->column_index("doc");
     auto doc_of = [&](const Row& row) -> std::int64_t {
         if (doc_col < 0 || doc_col >= static_cast<int>(row.size())) return -1;
         const Value& v = row[doc_col];
@@ -563,7 +523,7 @@ void Table::verify_into(IntegrityReport& report) const {
     auto issue = [&](const char* check, std::int64_t doc, std::string detail,
                      IntegrityIssue::Severity severity =
                          IntegrityIssue::Severity::kError) {
-        report.add({severity, check, def_.name, doc, std::move(detail)});
+        report.add({severity, check, def_->name, doc, std::move(detail)});
     };
 
     // Rows against the schema (the same rules validate() enforces on the
@@ -572,15 +532,15 @@ void Table::verify_into(IntegrityReport& report) const {
     for (RowId id = 0; id < store_.size(); ++id) {
         const Row& row = store_[id];
         ++report.rows_checked;
-        if (row.size() != def_.columns.size()) {
+        if (row.size() != def_->columns.size()) {
             issue("row-arity", doc_of(row),
                   "row " + std::to_string(id) + " has " +
                       std::to_string(row.size()) + " cells, schema has " +
-                      std::to_string(def_.columns.size()));
+                      std::to_string(def_->columns.size()));
             continue;
         }
         for (std::size_t c = 0; c < row.size(); ++c) {
-            const ColumnDef& col = def_.columns[c];
+            const ColumnDef& col = def_->columns[c];
             const Value& v = row[c];
             if (v.is_null()) {
                 if (col.not_null && static_cast<int>(c) != pk_column_)
@@ -612,17 +572,17 @@ void Table::verify_into(IntegrityReport& report) const {
 
     // Primary-key index: exactly one entry per row, pointing back at it.
     if (pk_column_ >= 0) {
-        if (pk_index_->size() != store_.size())
+        if (pk_index_.size() != store_.size())
             issue("pk-index", -1,
-                  "pk index has " + std::to_string(pk_index_->size()) +
+                  "pk index has " + std::to_string(pk_index_.size()) +
                       " entries for " + std::to_string(store_.size()) + " rows");
         for (RowId id = 0; id < store_.size(); ++id) {
             const Row& row = store_[id];
-            if (row.size() != def_.columns.size() ||
+            if (row.size() != def_->columns.size() ||
                 row[pk_column_].type() != ValueType::kInteger)
                 continue;  // already reported above
-            auto it = pk_index_->find(row[pk_column_].as_integer());
-            if (it == pk_index_->end() || it->second != id)
+            auto found = find_pk_rowid(row[pk_column_].as_integer());
+            if (!found || *found != id)
                 issue("pk-index", doc_of(row),
                       "row " + std::to_string(id) + " pk " +
                           row[pk_column_].to_string() +
@@ -646,10 +606,8 @@ void Table::verify_into(IntegrityReport& report) const {
     }
     for (const SecondaryIndex& idx : indexes_) {
         ++report.indexes_checked;
-        const std::string& col = def_.columns[idx.column].name;
-        std::size_t entries = idx.kind == IndexKind::kHash
-                                  ? idx.hash->size()
-                                  : idx.ordered->size();
+        const std::string& col = def_->columns[idx.column].name;
+        std::size_t entries = idx.tree.size();
         if (entries != store_.size())
             issue("index-size", -1,
                   "index on '" + col + "' has " + std::to_string(entries) +
@@ -669,35 +627,30 @@ void Table::verify_into(IntegrityReport& report) const {
                           " to row " + std::to_string(id) +
                           " whose cell is " + row[idx.column].to_string());
         };
-        if (idx.kind == IndexKind::kHash) {
-            for (const auto& [key, id] : *idx.hash) check_entry(key, id);
-        } else {
-            const Value* prev = nullptr;
-            for (const auto& [key, id] : *idx.ordered) {
-                check_entry(key, id);
-                if (prev != nullptr && key < *prev)
-                    issue("index-order", -1,
-                          "ordered index on '" + col +
-                              "' is out of order at key " + key.to_string());
-                prev = &key;
-            }
+        const IndexEntry* prev = nullptr;
+        for (auto c = idx.tree.begin(); c.valid(); c.next()) {
+            check_entry(c->key, c->row);
+            if (prev != nullptr && IndexOrder::cmp(*prev, *c) >= 0)
+                issue("index-order", -1,
+                      "index on '" + col + "' is out of order at key " +
+                          c->key.to_string());
+            prev = &*c;
         }
     }
 }
 
 std::size_t Table::memory_bytes() const {
-    std::size_t bytes = sizeof(Table);
+    // Chunks are allocated at full capacity; rows own their cells.
+    std::size_t bytes = sizeof(Table) + store_.capacity() * sizeof(Row);
     for (std::size_t id = 0; id < store_.size(); ++id) {
         const Row& row = store_[id];
-        bytes += sizeof(Row) + row.capacity() * sizeof(Value);
+        bytes += row.capacity() * sizeof(Value);
         for (const auto& v : row) {
             if (v.type() == ValueType::kText) bytes += v.as_text().capacity();
         }
     }
-    bytes += pk_index_->size() * (sizeof(std::int64_t) + sizeof(RowId) + 16);
-    for (const auto& idx : indexes_)
-        bytes += (idx.hash->size() + idx.ordered->size()) *
-                 (sizeof(Value) + sizeof(RowId) + 16);
+    bytes += pk_index_.node_bytes();
+    for (const SecondaryIndex& idx : indexes_) bytes += idx.tree.node_bytes();
     return bytes;
 }
 

@@ -3,28 +3,32 @@
 // Row-oriented storage in copy-on-write chunks (DESIGN.md §15).  Each
 // table may declare one auto-increment INTEGER primary key; inserts
 // validate types, NOT NULL and primary-key uniqueness.  Secondary
-// indexes come in two flavours — hash (equality lookups, used for ID
-// resolution during loading) and ordered (range scans) — mirroring the
-// ablation called out in DESIGN.md.
+// indexes come in two logical flavours — hash (equality lookups, used
+// for ID resolution during loading) and ordered (range scans) — that the
+// planner costs differently; both, like the primary-key index, are the
+// same copy-on-write B+tree (rdb/btree.hpp) keyed by (key, RowId).
 //
 // MVCC read path: publish() snapshots the table into an immutable
-// frozen clone that structurally shares row chunks and index
-// containers with the live table.  The single writer then copies a
-// chunk (or an index) the first time it mutates one that a published
-// version still references, so readers of any pinned version never see
-// a concurrent mutation and never take a latch.
+// frozen clone that structurally shares row chunks and index nodes
+// with the live table.  The single writer appends rows in place past
+// what any published version can see, and copies a chunk (or an index
+// node) only the first time it mutates one that a published version
+// still references — so a commit costs O(rows it touched), readers of
+// any pinned version never see a concurrent mutation, and never take a
+// latch.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/error.hpp"
+#include "rdb/btree.hpp"
 #include "rdb/stats.hpp"
 #include "rdb/value.hpp"
 
@@ -74,13 +78,15 @@ public:
 
 /// Chunked row storage with per-chunk copy-on-write (DESIGN.md §15).
 ///
-/// Rows live in fixed-size chunks behind shared_ptrs.  publish() marks
-/// every chunk shared and returns a structurally sharing copy for a
-/// frozen table version — O(#chunks), no row copies.  The single writer
-/// clones a chunk the first time it mutates one that is marked shared
-/// (`owned == false`), so a published chunk is immutable for its whole
-/// lifetime and concurrent readers of pinned versions are race-free by
-/// construction.  Ownership flags are writer-private state: no refcount
+/// Rows live in fixed-capacity chunks behind shared_ptrs.  publish()
+/// records, per chunk, how many of its rows published versions can see
+/// and returns a structurally sharing copy for a frozen table version —
+/// O(#chunks), no row copies.  A reader only ever indexes below its own
+/// size, and a chunk's row array is allocated at full capacity up
+/// front, so the writer appends in place into the shared tail chunk
+/// without moving anything a reader can reach.  The writer clones a
+/// chunk only to mutate (or truncate) a row below that chunk's visible
+/// count.  Visible counts are writer-private state: no refcount
 /// inspection, no atomics, deterministic under TSan.
 class RowStore {
 public:
@@ -90,30 +96,32 @@ public:
 
     [[nodiscard]] std::size_t size() const { return size_; }
     [[nodiscard]] bool empty() const { return size_ == 0; }
+    /// Row slots allocated (whole chunks).
+    [[nodiscard]] std::size_t capacity() const {
+        return slots_.size() * kChunkRows;
+    }
     [[nodiscard]] const Row& operator[](std::size_t i) const {
         return slots_[i >> kChunkShift].chunk->rows[i & kChunkMask];
     }
     /// Mutable access for the writer; copies the containing chunk first
-    /// when a published version still shares it.
+    /// when a published version can see row `i`.
     [[nodiscard]] Row& mut(std::size_t i) {
         Slot& s = slots_[i >> kChunkShift];
-        if (!s.owned) own(s, s.chunk->rows.size());
+        if ((i & kChunkMask) < s.visible) own(s, fill(i >> kChunkShift));
         return s.chunk->rows[i & kChunkMask];
     }
 
+    /// Append in place: the new row lands past every published version's
+    /// size, so even a shared tail chunk is written without a copy.
     void push_back(Row&& row) {
-        if ((size_ & kChunkMask) == 0) {
-            slots_.push_back(Slot{std::make_shared<Chunk>(), true});
-            slots_.back().chunk->rows.reserve(kChunkRows);
-        }
-        Slot& s = slots_.back();
-        if (!s.owned) own(s, s.chunk->rows.size());
-        s.chunk->rows.push_back(std::move(row));
+        if ((size_ & kChunkMask) == 0)
+            slots_.push_back(Slot{std::make_shared<Chunk>(), 0});
+        slots_.back().chunk->rows[size_ & kChunkMask] = std::move(row);
         ++size_;
     }
-    void pop_back() { truncate(size_ - 1); }
     /// Truncate to `n` rows (unit rollback); whole chunks past the cut
-    /// are dropped, a shared tail chunk is cloned up to the cut.
+    /// are dropped, a tail chunk whose visible rows would be cut is
+    /// cloned up to the cut.
     void truncate(std::size_t n);
     void clear() {
         slots_.clear();
@@ -123,8 +131,8 @@ public:
         slots_.reserve((size_ + additional + kChunkRows - 1) >> kChunkShift);
     }
 
-    /// Mark every chunk shared and return a structurally sharing copy
-    /// for a frozen version.  Writer-side only.
+    /// Mark every row visible and return a structurally sharing copy for
+    /// a frozen version.  Writer-side only.
     [[nodiscard]] RowStore publish();
 
     /// Chunks cloned by copy-on-write since construction (MVCC metric).
@@ -132,13 +140,20 @@ public:
 
 private:
     struct Chunk {
-        std::vector<Row> rows;
+        std::array<Row, kChunkRows> rows;  ///< fixed capacity, never reallocated
     };
     struct Slot {
         std::shared_ptr<Chunk> chunk;
-        bool owned = true;  ///< writer-private: no published version shares it
+        /// Writer-private: rows [0, visible) of the chunk may be read by
+        /// a published version and must not change in place.
+        std::uint32_t visible = 0;
     };
 
+    /// Rows the writer has stored in chunk `c`.
+    [[nodiscard]] std::size_t fill(std::size_t c) const {
+        return c + 1 < slots_.size() ? kChunkRows
+                                     : size_ - (c << kChunkShift);
+    }
     /// Replace a shared chunk with a private copy of its first `keep` rows.
     void own(Slot& s, std::size_t keep);
 
@@ -151,10 +166,10 @@ class Table {
 public:
     explicit Table(TableDef def);
 
-    [[nodiscard]] const TableDef& def() const { return def_; }
-    [[nodiscard]] const std::string& name() const { return def_.name; }
+    [[nodiscard]] const TableDef& def() const { return *def_; }
+    [[nodiscard]] const std::string& name() const { return def_->name; }
     [[nodiscard]] std::size_t row_count() const { return store_.size(); }
-    [[nodiscard]] std::size_t column_count() const { return def_.columns.size(); }
+    [[nodiscard]] std::size_t column_count() const { return def_->columns.size(); }
 
     /// Insert a row (one value per column, in declared order).  A NULL in
     /// the auto-increment primary-key column is assigned the next key.
@@ -209,8 +224,8 @@ public:
     /// begin_unit() records a watermark — row count, pk counter, undo-log
     /// position; rollback_unit() truncates back to it: cell updates made
     /// since are undone (update() logs old values while a unit is open),
-    /// appended rows are removed from storage and every index, and the
-    /// pk counter is restored.  Units nest (a per-document unit inside a
+    /// appended rows are removed from storage and every index — entry by
+    /// entry, O(rows the unit touched) — and the pk counter is restored.  Units nest (a per-document unit inside a
     /// per-corpus unit); commit_unit() folds the frame into its parent.
     ///
     /// Thread-safety contract: begin/commit/rollback and any logged
@@ -259,10 +274,11 @@ public:
         std::vector<IndexDef> defs;
         defs.reserve(indexes_.size());
         for (const SecondaryIndex& idx : indexes_)
-            defs.push_back({def_.columns[idx.column].name, idx.kind});
+            defs.push_back({def_->columns[idx.column].name, idx.kind});
         return defs;
     }
-    /// Matching row ids via index; throws SchemaError if not indexed.
+    /// Matching row ids via index, ascending; throws SchemaError if not
+    /// indexed.
     [[nodiscard]] std::vector<RowId> index_lookup(std::string_view column,
                                                   const Value& value) const;
     /// True when `column` carries an *ordered* secondary index (range scans).
@@ -295,9 +311,9 @@ public:
     }
 
     // -- MVCC versioning (DESIGN.md §15) --------------------------------------
-    /// Snapshot this table into an immutable frozen clone sharing row
-    /// chunks and index containers (O(#chunks + #indexes), no data
-    /// copies).  While the table is unchanged since the last publish the
+    /// Snapshot this table into an immutable frozen clone sharing its
+    /// definition, row chunks and index nodes (O(#chunks + #indexes), no
+    /// row or index copies).  While the table is unchanged since the last publish the
     /// cached clone is returned, so an idle table costs one shared_ptr
     /// copy per database publication.  Writer-side only (the caller
     /// holds writer exclusivity); subsequent writer mutations trigger
@@ -308,8 +324,12 @@ public:
     /// publication must cut a fresh frozen clone.
     [[nodiscard]] bool version_dirty() const { return dirty_; }
 
-    /// Index structures cloned by copy-on-write since construction.
-    [[nodiscard]] std::uint64_t indexes_cowed() const { return index_cows_; }
+    /// Index B+tree nodes (primary key and secondary) cloned by
+    /// copy-on-write since construction.
+    [[nodiscard]] std::uint64_t indexes_cowed() const;
+    /// Levels of the deepest index B+tree: the most nodes one index
+    /// write after a publish can copy.
+    [[nodiscard]] std::size_t index_depth() const;
     /// Row chunks cloned by copy-on-write since construction.
     [[nodiscard]] std::uint64_t chunks_cowed() const {
         return store_.chunks_cowed();
@@ -326,9 +346,6 @@ public:
     void refresh_stats();
     /// Full rebuild from current storage (ANALYZE).
     void rebuild_stats();
-    /// Install recovered statistics (ndv hints, min/max, NULL counts);
-    /// the fold watermark is clamped to current storage.
-    void load_stats(TableStats stats);
     /// Advance the per-table epoch watermark when the covered row count
     /// grew materially (~2x) since the last bump; Database aggregates the
     /// answer into its statistics epoch.
@@ -350,34 +367,54 @@ public:
     [[nodiscard]] double null_fraction() const;
 
 private:
-    using PkIndex = std::unordered_map<std::int64_t, RowId>;
-    using HashIndexMap = std::unordered_multimap<Value, RowId, ValueHash>;
-    using OrderedIndexMap = std::multimap<Value, RowId>;
+    /// Primary-key index entries: pks are unique, so the key alone
+    /// orders them.
+    struct PkEntry {
+        std::int64_t key = 0;
+        RowId row = 0;
+    };
+    struct PkOrder {
+        static int cmp(const PkEntry& a, const PkEntry& b) {
+            return a.key < b.key ? -1 : (a.key > b.key ? 1 : 0);
+        }
+    };
+    /// Secondary index entries, ordered by (key, row id): equal keys come
+    /// back in row order.
+    struct IndexEntry {
+        Value key;
+        RowId row = 0;
+    };
+    struct IndexOrder {
+        static int cmp(const IndexEntry& a, const IndexEntry& b) {
+            auto ord = a.key.index_order(b.key);
+            if (ord != 0) return ord < 0 ? -1 : 1;
+            return a.row < b.row ? -1 : (a.row > b.row ? 1 : 0);
+        }
+    };
+    using PkTree = CowBTree<PkEntry, PkOrder>;
+    using IndexTree = CowBTree<IndexEntry, IndexOrder>;
 
     struct SecondaryIndex {
         int column = -1;
-        IndexKind kind = IndexKind::kHash;
-        std::shared_ptr<HashIndexMap> hash;
-        std::shared_ptr<OrderedIndexMap> ordered;
-        bool owned = true;  ///< writer-private, like RowStore::Slot::owned
+        IndexKind kind = IndexKind::kHash;  ///< logical: planner costs, WAL, snapshots
+        IndexTree tree;
     };
 
-    /// Frozen-clone constructor backing publish(): shares chunks and
-    /// index containers, snapshots scalar state, drops the mutation log.
+    /// Frozen-clone constructor backing publish(): shares the definition,
+    /// chunks and index nodes, snapshots scalar state, drops the
+    /// mutation log.
     struct FrozenTag {};
     Table(FrozenTag, Table& live);
 
-    TableDef def_;
+    std::shared_ptr<const TableDef> def_;
     int pk_column_ = -1;
     std::atomic<std::int64_t> next_pk_{1};
     MutationLog* log_ = nullptr;
     bool bulk_ = false;
     bool frozen_ = false;  ///< immutable published clone (never mutated)
     bool dirty_ = true;    ///< mutated since last publish()
-    bool pk_owned_ = true;
-    std::uint64_t index_cows_ = 0;
     RowStore store_;
-    std::shared_ptr<PkIndex> pk_index_ = std::make_shared<PkIndex>();
+    PkTree pk_index_;
     std::vector<SecondaryIndex> indexes_;
     std::shared_ptr<const Table> last_published_;  ///< reused while !dirty_
 
@@ -396,15 +433,16 @@ private:
     std::vector<UndoCell> undo_;  ///< update() log, shared by nested frames
     TableStats stats_;
 
-    /// Writer-side copy-on-write helpers: hand back a privately owned
-    /// container, cloning (or, for rebuilds, replacing with a fresh empty
-    /// one) when a published version still shares the current one.
-    PkIndex& own_pk();
-    HashIndexMap& own_hash(SecondaryIndex& idx, bool preserve);
-    OrderedIndexMap& own_ordered(SecondaryIndex& idx, bool preserve);
-
     void validate(const Row& row) const;
     void index_row(RowId id);
+    /// (cell, row id) entries of `column` over every row, sorted — the
+    /// one run an index is bulk-built from.
+    [[nodiscard]] std::vector<IndexEntry> sorted_run(int column) const;
+    /// Cursor at the first entry of `idx` whose key is not before `key`
+    /// (`strict`: not at or before it).
+    [[nodiscard]] static IndexTree::Cursor seek_key(const SecondaryIndex& idx,
+                                                    const Value& key,
+                                                    bool strict);
     std::int64_t do_insert(Row&& row, bool validate_row);
     void bump_next_pk(std::int64_t pk);
 };

@@ -53,8 +53,32 @@ public:
         const Value& other) const;
 
     /// Total order for indexes and ORDER BY: NULL sorts first, then by
-    /// type, then by value (numeric types compare numerically).
-    [[nodiscard]] std::strong_ordering index_order(const Value& other) const;
+    /// type, then by value (numeric types compare numerically).  Inline
+    /// for the two shapes index B+tree probes compare all day —
+    /// INTEGER/INTEGER (numerically, like every numeric pair) and
+    /// TEXT/TEXT.
+    [[nodiscard]] std::strong_ordering index_order(const Value& other) const {
+        if (data_.index() == 1 && other.data_.index() == 1) {
+            auto a = static_cast<double>(*std::get_if<1>(&data_));
+            auto b = static_cast<double>(*std::get_if<1>(&other.data_));
+            if (a < b) return std::strong_ordering::less;
+            if (a > b) return std::strong_ordering::greater;
+            return std::strong_ordering::equal;
+        }
+        if (data_.index() == 3 && other.data_.index() == 3)
+            return *std::get_if<3>(&data_) <=> *std::get_if<3>(&other.data_);
+        return index_order_mixed(other);
+    }
+    /// index_order(other) < 0, with the same fast paths but no
+    /// three-way result to branch on.
+    [[nodiscard]] bool index_less(const Value& other) const {
+        if (data_.index() == 1 && other.data_.index() == 1)
+            return static_cast<double>(*std::get_if<1>(&data_)) <
+                   static_cast<double>(*std::get_if<1>(&other.data_));
+        if (data_.index() == 3 && other.data_.index() == 3)
+            return *std::get_if<3>(&data_) < *std::get_if<3>(&other.data_);
+        return index_order_mixed(other) < 0;
+    }
 
     friend bool operator==(const Value& a, const Value& b) {
         return a.index_order(b) == std::strong_ordering::equal;
@@ -66,6 +90,8 @@ public:
     [[nodiscard]] std::size_t hash() const;
 
 private:
+    [[nodiscard]] std::strong_ordering index_order_mixed(const Value& other) const;
+
     std::variant<std::monostate, std::int64_t, double, std::string> data_;
 };
 

@@ -297,7 +297,9 @@ TEST(BulkLoader, SkipPolicyMatchesGoodOnlyLoad) {
         // Small documents never span a pk chunk, so a single worker gets
         // every reservation back; with several workers a chunk tail that
         // sits below another live reservation becomes a reported gap.
-        if (jobs == 1) EXPECT_EQ(report.leaked_pks, 0u);
+        if (jobs == 1) {
+            EXPECT_EQ(report.leaked_pks, 0u);
+        }
 
         test::Stack good(gen::paper_dtd());
         loader::BulkLoader bg(good.logical, good.mapping, good.schema,

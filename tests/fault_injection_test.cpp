@@ -328,7 +328,9 @@ TEST(FaultInjection, BulkSkipMatchesLoadingOnlySurvivors) {
             // A single worker's chunk tail is always returnable; with
             // several workers a tail below another live reservation
             // legitimately becomes a gap (reported, not asserted zero).
-            if (jobs == 1) EXPECT_EQ(report.leaked_pks, 0u);
+            if (jobs == 1) {
+                EXPECT_EQ(report.leaked_pks, 0u);
+            }
 
             std::vector<std::string> good;
             std::vector<std::string> all = corpus(6);
@@ -447,7 +449,9 @@ TEST(FaultInjection, FaultedDocumentsPreserveIntervalLabelOrdering) {
                 EXPECT_TRUE(labels.insert(iv.post).second);
                 while (!open.empty() && open.back().post < iv.pre)
                     open.pop_back();
-                if (!open.empty()) EXPECT_LT(iv.post, open.back().post);
+                if (!open.empty()) {
+                    EXPECT_LT(iv.post, open.back().post);
+                }
                 EXPECT_EQ(iv.level, static_cast<std::int64_t>(open.size()));
                 open.push_back(iv);
             }

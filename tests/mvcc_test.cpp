@@ -134,7 +134,8 @@ void reader_loop(const rdb::Database& db, int iters,
 }
 
 /// The seeded writer script: a mix of committed load units, rolled-back
-/// units, depth-0 DDL, unit-wrapped SQL writes, analyze() and (when the
+/// units, depth-0 DDL, unit-wrapped side-table writes (an in-place update
+/// of a published row plus an insert), analyze() and (when the
 /// database is durable) checkpoints.  Commits and DDL publish epochs
 /// and record oracle entries; rollbacks, checkpoints and analyze must
 /// not change what any epoch contains.
@@ -176,6 +177,12 @@ void writer_script(AnyStack& stack, Oracle& oracle, std::uint64_t seed,
             case 3:
                 if (made_side_table) {  // unit-wrapped writes to the side table
                     db.begin_unit();
+                    // Rewriting a published row copies its chunk; appends
+                    // land in place past what readers can see.
+                    rdb::Table& side = db.require("mvcc_side");
+                    if (side.row_count() > 0)
+                        side.update(static_cast<rdb::RowId>(side.row_count() - 1),
+                                    "note", rdb::Value("re" + std::to_string(i)));
                     sql::execute(db, "INSERT INTO mvcc_side (id, note) "
                                      "VALUES (" + std::to_string(1000 + i) +
                                          ", 'op" + std::to_string(i) + "')");
@@ -223,7 +230,7 @@ TEST(Mvcc, SnapshotIsolationOracle) {
     EXPECT_GT(oracle.epochs(), 10u) << "writer script committed too little";
     for (const auto& reader : seen) EXPECT_EQ(reader.size(), kReadsEach);
 
-    // The script's rollbacks and loads force real copy-on-write: the
+    // The script's side-table updates force real copy-on-write: the
     // observability counters must show epochs were cut and retired.
     rdb::MvccStats st = stack.db.mvcc_stats();
     EXPECT_GE(st.versions_published, oracle.epochs() - 1);

@@ -1,6 +1,6 @@
 // Cost-based planner (DESIGN.md §13): the KMV distinct-count sketch,
-// incremental vs full-rebuild statistics, epoch bumps, persistence of
-// the xrel_stats catalog through snapshot + WAL recovery, golden plan
+// incremental vs full-rebuild statistics, epoch bumps, statistics
+// refolded from the recovered rows after snapshot + WAL recovery, golden plan
 // shapes from plan_select(), planner-on/off result equivalence, plan
 // cache invalidation by statistics epoch, and the query-service toggle.
 #include <gtest/gtest.h>
@@ -90,9 +90,8 @@ protected:
 
 TEST_F(PlannerFixture, AnalyzeRebuildsAccurateStats) {
     rdb::AnalyzeReport report = db.analyze();
-    EXPECT_EQ(report.tables, 2u);  // the xrel_stats catalog is excluded
-    EXPECT_NE(db.table(rdb::Database::kStatsTable), nullptr);
-    EXPECT_FALSE(report.persisted);  // in-memory database
+    EXPECT_EQ(report.tables, 2u);
+    EXPECT_EQ(db.table_count(), 2u);  // statistics are not stored as rows
 
     const rdb::TableStats& st = db.require("big").stats();
     ASSERT_EQ(st.columns.size(), 4u);
@@ -240,18 +239,15 @@ TEST(PlannerStats, SurviveWalOnlyRecovery) {
     test::TempDir dir;
     std::uint64_t author_ndv = 0;
     std::uint64_t author_rows = 0;
-    std::uint64_t epoch = 0;
     {
         test::DurableStack stack(gen::paper_dtd(), dir.path());
         auto docs = gen::bibliography_corpus(20, 300, 7);
         for (const auto& doc : docs) stack.loader->load(*doc);
-        rdb::AnalyzeReport report = stack.db.analyze();
-        EXPECT_TRUE(report.persisted);
+        stack.db.analyze();
         const rdb::TableStats& st = stack.db.require("author").stats();
         author_rows = st.rows;
         ASSERT_GT(st.columns.size(), 0u);
         author_ndv = st.columns[0].ndv();
-        epoch = report.epoch;  // the epoch the catalog persisted
         ASSERT_GT(author_rows, 0u);
     }
     test::DurableStack reopened(gen::paper_dtd(), dir.path());
@@ -260,7 +256,6 @@ TEST(PlannerStats, SurviveWalOnlyRecovery) {
     EXPECT_EQ(st.rows, author_rows);
     EXPECT_EQ(st.rows, reopened.db.require("author").row_count());
     EXPECT_EQ(st.columns[0].ndv(), author_ndv);
-    EXPECT_GE(reopened.db.stats_epoch(), epoch);
 }
 
 TEST(PlannerStats, SurviveCheckpointRecovery) {

@@ -77,9 +77,10 @@ void expect_proper_nesting(const std::vector<Interval>& ivs) {
     std::vector<Interval> stack;
     for (const auto& iv : ivs) {  // sorted by pre
         while (!stack.empty() && stack.back().post < iv.pre) stack.pop_back();
-        if (!stack.empty())
+        if (!stack.empty()) {
             EXPECT_LT(iv.post, stack.back().post)
                 << iv.entity << " straddles " << stack.back().entity;
+        }
         EXPECT_EQ(iv.level, static_cast<std::int64_t>(stack.size()))
             << iv.entity;
         stack.push_back(iv);

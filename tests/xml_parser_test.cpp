@@ -185,7 +185,7 @@ TEST(XmlParser, MaxAttributesEnforced) {
     ParseOptions options;
     options.max_attributes = 4;
     try {
-        parse_document(text, options);
+        (void)parse_document(text, options);
         FAIL() << "expected ParseError";
     } catch (const ParseError& e) {
         EXPECT_NE(std::string(e.what()).find("maximum attribute count"),
@@ -206,7 +206,7 @@ TEST(XmlParser, MaxChildrenEnforced) {
     ParseOptions options;
     options.max_children = 4;
     try {
-        parse_document(text, options);
+        (void)parse_document(text, options);
         FAIL() << "expected ParseError";
     } catch (const ParseError& e) {
         EXPECT_NE(std::string(e.what()).find("maximum child-element count"),
